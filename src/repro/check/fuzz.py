@@ -291,6 +291,94 @@ def _fuzz_wal(seed: int, size: int) -> Optional[str]:
     return None
 
 
+def _scan_deadline_check(members, stage: str, on_expire) -> None:
+    """Reference for ``_DeadlineGroup.check``: the scan it replaced,
+    testing every live member's own deadline on every check."""
+    from ..serving.deadline import DeadlineExceeded
+
+    expired_all = True
+    for member in members:
+        if not member.live:
+            continue
+        if member.deadline.expired():
+            member.degraded_reason = f"deadline:{stage}"
+            on_expire(member)
+        else:
+            expired_all = False
+    if expired_all:
+        deadlines = [m.deadline for m in members]
+        budget = max((d.budget_s for d in deadlines), default=0.0)
+        elapsed = max((d.elapsed() for d in deadlines), default=0.0)
+        raise DeadlineExceeded(stage, budget, elapsed)
+
+
+@scenario("deadline-group-vs-scan")
+def _fuzz_deadline_group(seed: int, size: int) -> Optional[str]:
+    """Ordered-expiry ``_DeadlineGroup`` vs a scan of every member, on
+    random budgets and ManualClock advances between checks."""
+    from ..reliability.faults import ManualClock
+    from ..serving.deadline import Deadline, DeadlineExceeded
+    from ..serving.service import ScoreRequest, _BatchMember, _DeadlineGroup
+
+    rng = np.random.default_rng(seed)
+    clock = ManualClock(float(rng.uniform(0.0, 100.0)))
+    staggered = bool(rng.random() < 0.5)  # else one start, as a served batch has
+    shared_start = clock()
+    deadlines = []
+    for _ in range(1 + int(rng.integers(0, 2 * size + 1))):
+        if staggered:
+            clock.advance(float(rng.exponential(0.002)))
+        pick = rng.random()
+        if pick < 0.1:
+            budget = float("inf")
+        elif pick < 0.5:  # repeated budgets: expiry ties
+            budget = float(rng.choice([0.001, 0.005, 0.02]))
+        else:
+            budget = float(rng.uniform(0.0005, 0.05))
+        deadlines.append(
+            Deadline(budget, clock=clock, started=None if staggered else shared_start)
+        )
+    hits = {"ordered": [], "scan": []}  # on_expire calls: deadline_hits
+    members = {
+        side: [_BatchMember(ScoreRequest(node=i), d) for i, d in enumerate(deadlines)]
+        for side in hits
+    }
+    group = _DeadlineGroup(members["ordered"], on_expire=hits["ordered"].append)
+    checks = {
+        "ordered": group.check,
+        "scan": lambda stage: _scan_deadline_check(members["scan"], stage, hits["scan"].append),
+    }
+    stages = ("admission", "sampling hop 0", "sampling hop 1", "feature fetch", "model forward")
+    steps = 1 + 3 * size
+    for step in range(steps):
+        if rng.random() < 0.8:
+            clock.advance(float(rng.exponential(0.04 / steps)))
+        if rng.random() < 0.1:  # demoted by something else (breaker, KV)
+            index = int(rng.integers(0, len(deadlines)))
+            for side in hits:
+                if members[side][index].live:
+                    members[side][index].degraded_reason = "breaker_open"
+        stage = stages[step % len(stages)]
+        raised = {}
+        for side, check in checks.items():
+            try:
+                check(stage)
+                raised[side] = None
+            except DeadlineExceeded as error:
+                raised[side] = (error.stage, error.budget_s, error.elapsed_s)
+        reasons = {side: [m.degraded_reason for m in members[side]] for side in hits}
+        if reasons["ordered"] != reasons["scan"]:
+            return f"check {step} ({stage}): reasons {reasons['ordered']} != {reasons['scan']}"
+        if len(hits["ordered"]) != len(hits["scan"]):
+            counts = [len(hits[side]) for side in ("ordered", "scan")]
+            return f"check {step} ({stage}): deadline_hits {counts[0]} != {counts[1]}"
+        if raised["ordered"] != raised["scan"]:
+            return f"check {step} ({stage}): raised {raised['ordered']} != {raised['scan']}"
+        if raised["scan"] is not None:
+            return None  # the batch aborts here on both sides
+    return None
+
+
 # ----------------------------------------------------------------------
 # Driver + shrinker
 # ----------------------------------------------------------------------

@@ -47,12 +47,14 @@ class Deadline:
         self,
         budget_s: float,
         clock: Callable[[], float] = time.monotonic,
+        started: Optional[float] = None,
     ) -> None:
-        if budget_s <= 0 and not math.isinf(budget_s):
+        if not budget_s > 0:
             raise ValueError("budget_s must be positive (or inf for no deadline)")
         self.budget_s = float(budget_s)
         self._clock = clock
-        self.started = clock()
+        # ``started`` lets the requests of one batch share a start time.
+        self.started = clock() if started is None else float(started)
 
     @classmethod
     def never(cls, clock: Callable[[], float] = time.monotonic) -> "Deadline":

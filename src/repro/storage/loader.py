@@ -6,17 +6,26 @@ arrays) and loads it back. :class:`WorkerLoader` is the per-worker data
 loader: in the multi-handle design each worker owns an independent
 mmap handle, which is the optimisation that removed the paper's
 data-loading bottleneck (Figures 12 → 13).
+
+Layout: the ``struct/*`` arrays are ``.npy`` blobs. Each ``feat/{node}``
+value is the row's raw little-endian bytes with no header; the row
+dtype and width are written once, in ``struct/meta``
+(``[num_nodes, feature_dim, dtype code]``). Every reader decodes rows
+through :func:`decode_rows`, whose exact-width check is the format
+guard: a truncated, foreign or ``.npy``-format row raises
+:class:`~repro.storage.kvstore.CorruptStoreError` rather than being
+misread.
 """
 
 from __future__ import annotations
 
 import io
-from typing import List, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graph.hetero import HeteroGraph
-from .kvstore import KVStore, MmapKVStore, _MmapReader
+from .kvstore import CorruptStoreError, KVStore, MmapKVStore, _MmapReader
 
 
 def _encode_array(array: np.ndarray) -> bytes:
@@ -29,6 +38,46 @@ def _decode_array(blob: bytes) -> np.ndarray:
     return np.load(io.BytesIO(blob), allow_pickle=False)
 
 
+def _row_dtype(dtype) -> np.dtype:
+    """The on-store dtype of feature rows: ``dtype`` in little-endian order."""
+    return np.dtype(dtype).newbyteorder("<")
+
+
+def decode_rows(blobs: Sequence[bytes], dtype, dim: int) -> np.ndarray:
+    """Decode header-free feature rows into one writable ``(n, dim)`` array.
+
+    Every blob must be exactly ``dim * itemsize`` bytes; anything else
+    raises :class:`CorruptStoreError`.
+    """
+    dtype = _row_dtype(dtype)
+    width = dim * dtype.itemsize
+    for blob in blobs:
+        if len(blob) != width:
+            raise CorruptStoreError(
+                f"feature row is {len(blob)} bytes, expected {width} ({dim} x {dtype.name})"
+            )
+    return np.frombuffer(bytearray().join(blobs), dtype=dtype).reshape(len(blobs), dim)
+
+
+def _read_meta(get: Callable[[str], bytes]) -> Tuple[int, int, np.dtype]:
+    """``(num_nodes, feature_dim, row dtype)`` from ``struct/meta``."""
+    meta = _decode_array(get("struct/meta"))
+    if meta.shape != (3,):
+        raise CorruptStoreError(
+            f"struct/meta has shape {meta.shape}, expected (3,): "
+            "not a header-free feature-row store"
+        )
+    try:
+        dtype = _row_dtype(chr(int(meta[2])))
+    except (TypeError, ValueError, OverflowError) as error:
+        raise CorruptStoreError(f"struct/meta names no row dtype: {error}") from None
+    return int(meta[0]), int(meta[1]), dtype
+
+
+def _feature_keys(nodes: Sequence[int]):
+    return (f"feat/{int(node)}" for node in nodes)
+
+
 class GraphStore:
     """(De)serialise a heterogeneous graph through a KV-store."""
 
@@ -38,15 +87,19 @@ class GraphStore:
         self.store = store
 
     def save(self, graph: HeteroGraph) -> None:
-        """Write structure arrays and one feature row per node."""
+        """Write structure arrays, the row format, and one raw row per node."""
         for key in self.STRUCT_KEYS:
             self.store.put(f"struct/{key}", _encode_array(getattr(graph, key)))
+        dtype = _row_dtype(graph.txn_features.dtype)
         self.store.put(
             "struct/meta",
-            _encode_array(np.array([graph.num_nodes, graph.feature_dim], dtype=np.int64)),
+            _encode_array(
+                np.array([graph.num_nodes, graph.feature_dim, ord(dtype.char)], dtype=np.int64)
+            ),
         )
+        rows = np.ascontiguousarray(graph.txn_features, dtype=dtype)
         for node in range(graph.num_nodes):
-            self.store.put(f"feat/{node}", _encode_array(graph.txn_features[node]))
+            self.store.put(f"feat/{node}", rows[node].tobytes())
         # Duck-typed: MmapKVStore needs its index footer written, and
         # ReplicatedKVStore forwards to any finalizable replicas.
         finalize = getattr(self.store, "finalize", None)
@@ -56,22 +109,17 @@ class GraphStore:
     def load(self) -> HeteroGraph:
         """Reassemble the full graph, round-tripping the saved dtype."""
         arrays = {key: _decode_array(self.store.get(f"struct/{key}")) for key in self.STRUCT_KEYS}
-        meta = _decode_array(self.store.get("struct/meta"))
-        num_nodes, feature_dim = int(meta[0]), int(meta[1])
-        features: Optional[np.ndarray] = None
-        for node in range(num_nodes):
-            row = _decode_array(self.store.get(f"feat/{node}"))
-            if features is None:
-                features = np.zeros((num_nodes, feature_dim), dtype=row.dtype)
-            features[node] = row
-        if features is None:
-            features = np.zeros((num_nodes, feature_dim))
+        num_nodes, feature_dim, dtype = _read_meta(self.store.get)
+        features = decode_rows(
+            [self.store.get(key) for key in _feature_keys(range(num_nodes))], dtype, feature_dim
+        )
         return HeteroGraph(txn_features=features, **arrays)
 
     def load_features(self, nodes: Sequence[int]) -> np.ndarray:
         """Fetch feature rows through the shared store handle."""
-        rows = [_decode_array(self.store.get(f"feat/{int(node)}")) for node in nodes]
-        return np.stack(rows) if rows else np.zeros((0, 0))
+        _, feature_dim, dtype = _read_meta(self.store.get)
+        blobs = [self.store.get(key) for key in _feature_keys(nodes)]
+        return decode_rows(blobs, dtype, feature_dim)
 
 
 class WorkerLoader:
@@ -79,7 +127,8 @@ class WorkerLoader:
 
     With ``private_handle=True`` (LMDB-style) the loader opens its own
     mmap reader; otherwise every call goes through the store's shared,
-    possibly lock-guarded handle (LevelDB-style).
+    possibly lock-guarded handle (LevelDB-style). The row format is
+    read once, when the loader opens.
     """
 
     def __init__(self, store: KVStore, private_handle: bool = True) -> None:
@@ -87,14 +136,13 @@ class WorkerLoader:
         self._reader: Optional[_MmapReader] = None
         if private_handle and isinstance(store, MmapKVStore) and not store.single_handle:
             self._reader = store.reader()
+        _, self._dim, self._dtype = _read_meta(self._get)
+
+    def _get(self, key: str) -> bytes:
+        return self._reader.get(key) if self._reader is not None else self.store.get(key)
 
     def load_features(self, nodes: Sequence[int]) -> np.ndarray:
-        rows: List[np.ndarray] = []
-        for node in nodes:
-            key = f"feat/{int(node)}"
-            blob = self._reader.get(key) if self._reader is not None else self.store.get(key)
-            rows.append(_decode_array(blob))
-        return np.stack(rows) if rows else np.zeros((0, 0))
+        return decode_rows([self._get(key) for key in _feature_keys(nodes)], self._dtype, self._dim)
 
     def close(self) -> None:
         if self._reader is not None:

@@ -185,6 +185,15 @@ class TestRegressionSeeds:
         assert run_case("single-vs-batched-scoring", 1434336075, 3) is None
 
 
+    def test_deadline_group_shrunk_cases(self):
+        # Two ordering bugs the scenario catches, at their shrunk cases:
+        # ordering members by budget alone (ignoring staggered starts)
+        # diverges at (0, 10); letting a member demoted by something else
+        # hold the cursor diverges at (0, 1).
+        assert run_case("deadline-group-vs-scan", 0, 10) is None
+        assert run_case("deadline-group-vs-scan", 0, 1) is None
+
+
 class TestGenerators:
     def test_graph_generator_is_seed_deterministic(self):
         a = random_hetero_graph(np.random.default_rng(9), num_txns=7)

@@ -33,6 +33,7 @@ from repro.serving import (
     ServiceStats,
     TokenBucket,
 )
+from repro.serving.service import _BatchMember, _DeadlineGroup
 from repro.storage import GraphStore, InMemoryKVStore
 
 
@@ -67,6 +68,53 @@ class TestDeadline:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             Deadline(0.0)
+        with pytest.raises(ValueError):
+            Deadline(float("nan"))
+
+
+class TestDeadlineGroup:
+    def test_check_reads_the_clock_for_the_earliest_member_only(self):
+        clock = ManualClock()
+        reads = []
+
+        def counting_clock():
+            reads.append(1)
+            return clock()
+
+        members = [
+            _BatchMember(
+                ScoreRequest(node=i),
+                Deadline(0.01 * (i + 1), clock=counting_clock, started=0.0),
+            )
+            for i in reversed(range(64))
+        ]
+        hits = []
+        group = _DeadlineGroup(members, on_expire=hits.append)
+        for _ in range(10):
+            group.check("sampling hop 0")
+        assert len(reads) == 10  # one read per check, not one per member
+        clock.advance(0.025)  # budgets 0.01 and 0.02 are spent
+        del reads[:]
+        group.check("feature fetch")
+        assert len(reads) == 3
+        expired = [m for m in members if not m.live]
+        assert sorted(m.request.node for m in expired) == [0, 1]
+        assert {m.degraded_reason for m in expired} == {"deadline:feature fetch"}
+        assert hits == expired[::-1]  # demoted in expiry order
+
+    def test_raises_once_every_member_is_spent(self):
+        clock = ManualClock()
+        members = [
+            _BatchMember(ScoreRequest(node=i), Deadline(budget, clock=clock, started=0.0))
+            for i, budget in enumerate((0.02, 0.01))
+        ]
+        group = _DeadlineGroup(members, on_expire=lambda member: None)
+        clock.advance(0.03)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            group.check("model forward")
+        assert excinfo.value.budget_s == pytest.approx(0.02)
+        assert excinfo.value.elapsed_s == pytest.approx(0.03)
+        assert [m.degraded_reason for m in members] == ["deadline:model forward"] * 2
 
 
 class TestCircuitBreaker:
@@ -333,6 +381,40 @@ class TestScoringService:
         response = service.score(node)
         assert response.rung == RUNG_PRIOR
         assert response.score == pytest.approx(0.07)
+
+    def test_truncated_row_demotes_to_kv_unavailable_after_retries(
+        self, trained_detector, tiny_graph, feature_kv, mined_rules
+    ):
+        nodes = _txn_nodes(tiny_graph, 2)
+        for node in nodes:
+            feature_kv.put(f"feat/{node}", feature_kv.get(f"feat/{node}")[:-8])
+        config = ServiceConfig(retry=RetryPolicy(max_attempts=3, base_delay=0.001))
+
+        def service():
+            return ScoringService(
+                trained_detector,
+                tiny_graph,
+                feature_store=feature_kv,
+                rules=mined_rules,
+                config=config,
+                clock=ManualClock(),
+            )
+
+        single = service()
+        response = single.score(
+            ScoreRequest(node=nodes[0], features=tiny_graph.txn_features[nodes[0]])
+        )
+        assert response.rung == RUNG_RULES
+        assert response.degraded_reason == "kv_unavailable"
+        assert single.stats.kv_retries == 2
+        assert single.stats.kv_failures == 1
+        batched = service()
+        responses = batched.score_batch(
+            [ScoreRequest(node=n, features=tiny_graph.txn_features[n]) for n in nodes]
+        )
+        assert [r.rung for r in responses] == [RUNG_RULES, RUNG_RULES]
+        assert {r.degraded_reason for r in responses} == {"kv_unavailable"}
+        assert batched.stats.rungs.get(RUNG_GNN, 0) == 0
 
     def test_transient_blips_are_absorbed_by_retries(
         self, trained_detector, tiny_graph, feature_kv
